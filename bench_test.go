@@ -396,12 +396,12 @@ func BenchmarkE11Batching(b *testing.B) {
 	}
 }
 
-// BenchmarkE16Scaling reports the work-stealing runtime's multi-core
-// scaling (EXPERIMENTS.md E16): a many-site ping-pong workload — 8
-// independent server/client site pairs across 2 nodes — swept over
-// GOMAXPROCS and scheduler worker count together. On a machine with
-// enough cores, msgs/s should grow with P; msgs/s at P beyond the
-// physical core count measures scheduler overhead instead.
+// BenchmarkE16Scaling reports the goroutine-per-site runtime's
+// multi-core scaling (EXPERIMENTS.md E16): a many-site ping-pong
+// workload — 8 independent server/client site pairs across 2 nodes —
+// swept over GOMAXPROCS. On a machine with enough cores, msgs/s should
+// grow with P; msgs/s at P beyond the physical core count measures
+// scheduling overhead instead.
 func BenchmarkE16Scaling(b *testing.B) {
 	server := `def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p]) in export new p Serve[p]`
 	const sites = 8
@@ -438,7 +438,6 @@ func BenchmarkE16Scaling(b *testing.B) {
 				Nodes:       2,
 				Link:        mustLink("fastether"),
 				Reliability: &transport.ReliableConfig{},
-				Sched:       node.SchedConfig{Workers: p},
 			}, progs, nil)
 			// Each call is one request plus one reply envelope.
 			b.ReportMetric(float64(2*sites*callers*perCaller)/b.Elapsed().Seconds(), "msgs/s")

@@ -115,7 +115,7 @@ type Controller struct {
 	sheds atomic.Uint64
 
 	// sojMin is the hot-path sojourn mirror: a CAS-min updated by
-	// every site turn on every scheduler worker, with no lock and no
+	// every site turn on every core, with no lock and no
 	// clock read. The node's periodic Tick folds it into the windowed
 	// CoDel verdict below. noSample flags an empty window.
 	sojMin atomic.Int64
@@ -145,8 +145,8 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // ObserveSojourn records one queue sojourn sample (time a delivery
 // spent waiting in an incoming queue before being handled). Lock-free
-// and clock-free: under the work-stealing scheduler every worker's
-// site turns report here concurrently, so the hot path is a CAS-min
+// and clock-free: site goroutines on every core report here
+// concurrently, so the hot path is a CAS-min
 // against the window mirror — the periodic Tick does the folding and
 // the window arithmetic.
 func (c *Controller) ObserveSojourn(d time.Duration) {

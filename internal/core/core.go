@@ -204,10 +204,6 @@ type ClusterConfig struct {
 	// an absolute now+OpDeadline expiry, enforced end to end (sender
 	// retransmission, receiver application).
 	OpDeadline time.Duration
-	// Sched configures every node's work-stealing scheduler
-	// (DESIGN.md §15). The zero value runs GOMAXPROCS workers;
-	// Sched.Serial restores the goroutine-per-site legacy runtime.
-	Sched node.SchedConfig
 }
 
 // spawnRec remembers a submission so Recover can restore the node's
@@ -361,7 +357,6 @@ func (c *Cluster) newNode(id uint32, epoch uint32) (*node.Node, *transport.Mem, 
 		Introspect:        intro,
 		Admission:         c.cfg.Admission,
 		OpDeadline:        c.cfg.OpDeadline,
-		Sched:             c.cfg.Sched,
 	})
 	if intro != nil {
 		if addr := n.IntrospectionAddr(); addr != "" {

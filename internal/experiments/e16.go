@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/node"
 	"repro/internal/transport"
 )
 
@@ -25,18 +24,16 @@ func e16Client(server string, w, c int) string {
 	return b.String()
 }
 
-// E16 — multi-core scaling of the work-stealing node runtime
+// E16 — multi-core scaling of the goroutine-per-site node runtime
 // (DESIGN.md §15).
 //
 // Run a many-site ping-pong workload — S independent server sites on
 // node 0, S matching client sites on node 1, each client running
-// several concurrent callers — and sweep GOMAXPROCS together with the
-// scheduler's worker count over {1, 2, 4, 8}. With one worker the
-// runtime degenerates to the serialized schedule; with P workers the
-// S-way site parallelism should spread across cores via work
-// stealing. Report aggregate application messages per second, the
-// scaling efficiency eff(P) = rate(P) / (P * rate(1)), and the steal
-// counters that show the load balancer actually moved work.
+// several concurrent callers — and sweep GOMAXPROCS over {1, 2, 4, 8}.
+// At P=1 every site goroutine shares one processor; with P processors
+// Go's runtime spreads the S-way site parallelism across cores.
+// Report aggregate application messages per second and the scaling
+// efficiency eff(P) = rate(P) / (P * rate(1)).
 //
 // The honest caveat the table carries in its notes: on a machine with
 // fewer physical cores than P, GOMAXPROCS over-subscription measures
@@ -60,12 +57,11 @@ func E16(o Options) (*Table, error) {
 
 	t := &Table{
 		ID:     "E16",
-		Title:  "work-stealing runtime: msgs/s and scaling efficiency vs GOMAXPROCS",
-		Header: []string{"gomaxprocs", "msgs/s", "efficiency", "steals"},
+		Title:  "goroutine-per-site runtime: msgs/s and scaling efficiency vs GOMAXPROCS",
+		Header: []string{"gomaxprocs", "msgs/s", "efficiency"},
 		Notes: []string{
 			fmt.Sprintf("%d server sites + %d client sites across 2 nodes; %d callers x %d calls per client", sites, sites, callers, calls),
 			fmt.Sprintf("efficiency = rate(P) / (P * rate(1)); measured with %d physical CPU(s) — beyond that, P measures overhead, not speedup", runtime.NumCPU()),
-			"steals counts successful steal batches across both nodes' schedulers",
 		},
 	}
 	var base float64
@@ -75,7 +71,6 @@ func E16(o Options) (*Table, error) {
 			Nodes:       2,
 			Link:        mustProfile("fastether"),
 			Reliability: &transport.ReliableConfig{},
-			Sched:       node.SchedConfig{Workers: p},
 		}
 		progs := make([]workloadProgram, 0, 2*sites)
 		for i := 0; i < sites; i++ {
@@ -92,12 +87,6 @@ func E16(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E16 gomaxprocs=%d: %w", p, err)
 		}
-		var steals uint64
-		for i := 0; i < cl.Nodes(); i++ {
-			if st := cl.Node(i).Status(); st.Sched != nil {
-				steals += st.Sched.Steals
-			}
-		}
 		cl.Stop()
 
 		// Each call is one request plus one reply envelope.
@@ -111,12 +100,10 @@ func E16(o Options) (*Table, error) {
 			fmt.Sprintf("%d", p),
 			fmt.Sprintf("%.0f", perSec),
 			fmt.Sprintf("%.2f", eff),
-			fmt.Sprintf("%d", steals),
 		})
 		key := fmt.Sprintf("e16/gmp=%d", p)
 		t.SetMetric(key+"/msgs_per_sec", perSec)
 		t.SetMetric(key+"/efficiency", eff)
-		t.SetMetric(key+"/steals", float64(steals))
 	}
 	t.SetMetric("e16/cpus", float64(runtime.NumCPU()))
 	return t, nil

@@ -139,7 +139,7 @@ func All() []Runner {
 		{"e13", "introspection: scrape overhead & stall-detection latency", E13},
 		{"e14", "gossip membership: detection latency, FP rate, traffic, drain", E14},
 		{"e15", "overload: open-loop overdrive, shedding, goodput plateau", E15},
-		{"e16", "work-stealing runtime: multi-core scaling sweep", E16},
+		{"e16", "goroutine-per-site runtime: multi-core scaling sweep", E16},
 		{"e17", "sharded name service: million-name churn, lease caches, ring transitions", E17},
 		{"e18", "SLO analytics: burn-rate regression detection, exact cluster merge, overhead", E18},
 	}

@@ -49,20 +49,20 @@ func (c BatchConfig) withDefaults() BatchConfig {
 
 // coalescer owns one outbound ring per destination node, each drained
 // by a dedicated flusher goroutine (DESIGN.md §15). Producers — site
-// turns running on any scheduler worker — encode their payload into a
-// pooled writer outside every lock, append the bytes to the peer's
-// ring, and return; only the flusher touches the BatchBuilder and the
-// transport, so site execution never contends with wire encoding and
-// only blocks on window backpressure indirectly, through the ring's
-// MaxQueueBytes cap — a producer outrunning a congested peer waits for
-// the flusher to drain rather than growing the ring without bound.
-// The flusher ships the accumulated
-// frame on the first of: size threshold, delay deadline, explicit
-// flush request (site parking idle, control traffic), or shutdown.
+// goroutines, running in parallel on any core — encode their payload
+// into a pooled writer outside every lock, append the bytes to the
+// peer's ring, and return; only the flusher touches the BatchBuilder
+// and the transport, so site execution never contends with wire
+// encoding and only blocks on window backpressure indirectly, through
+// the ring's MaxQueueBytes cap — a producer outrunning a congested
+// peer waits for the flusher to drain rather than growing the ring
+// without bound. The flusher ships the accumulated frame on the first
+// of: size threshold, delay deadline, explicit flush request (site
+// parking idle, control traffic), or shutdown.
 //
-// The park/flush race under multiple workers is closed structurally: a
-// flush request only kicks the flusher, and an envelope enqueued by
-// worker B while worker A's flush is in flight either joins the frame
+// The park/flush race between concurrent sites is closed structurally:
+// a flush request only kicks the flusher, and an envelope enqueued by
+// site B while site A's flush is in flight either joins the frame
 // being built or starts a new one whose MaxDelay timer is armed by the
 // flusher itself — a sub-deadline batch can no longer be stranded by
 // an unlucky interleaving of park and enqueue.
@@ -154,22 +154,12 @@ func (c *coalescer) add(dst uint32, t wire.FrameType, trace, deadline uint64, pa
 		return c.sendSync(dst, t, trace, deadline, func(w *wire.Writer) { w.Raw(msg.payload) })
 	}
 	p.mu.Lock()
-	if !p.dead && p.qBytes >= c.cfg.MaxQueueBytes {
-		// Ring full: the flusher is behind (blocked on window
-		// backpressure or a down peer), so block the producer — the
-		// cap turns a runaway sender back into the pre-ring blocking
-		// semantics instead of unbounded memory. The producer is
-		// usually a scheduler worker mid-turn, so cover it first: a
-		// parked sibling (or a spare) keeps the pool draining while
-		// this one waits.
-		p.mu.Unlock()
-		if c.n.sched != nil {
-			c.n.sched.coverBlocking()
-		}
-		p.mu.Lock()
-		for !p.dead && p.qBytes >= c.cfg.MaxQueueBytes {
-			p.space.Wait()
-		}
+	// Ring full: the flusher is behind (blocked on window backpressure
+	// or a down peer), so block the producer — the cap turns a runaway
+	// sender back into the pre-ring blocking semantics instead of
+	// unbounded memory.
+	for !p.dead && p.qBytes >= c.cfg.MaxQueueBytes {
+		p.space.Wait()
 	}
 	if p.dead {
 		p.mu.Unlock()

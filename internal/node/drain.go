@@ -195,10 +195,6 @@ func (n *Node) AdoptSite(siteName string, jl *site.Journal, out io.Writer, opts 
 		o(&cfg)
 	}
 	s := site.New(cfg)
-	var ss *schedSite
-	if n.sched != nil {
-		ss = n.sched.add(s)
-	}
 	s.SetRestore(rec)
 	n.mu.Lock()
 	n.mutateTables(func(t *siteTable) {
@@ -207,7 +203,7 @@ func (n *Node) AdoptSite(siteName string, jl *site.Journal, out io.Writer, opts 
 		t.journals[id] = jl
 	})
 	n.mu.Unlock()
-	n.startSite(s, ss)
+	go s.Run()
 	if n.cfg.Supervise {
 		go n.supervise(s, siteName, out, opts...)
 	}

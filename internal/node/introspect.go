@@ -197,16 +197,6 @@ func (n *Node) Status() telemetry.NodeStatus {
 		DeliveryFailures: n.deliveryFailures.Load(),
 		Strikes:          n.Strikes(),
 	}
-	if n.sched != nil {
-		ss := n.sched.stats()
-		st.Sched = &telemetry.SchedStatus{
-			Workers: ss.workers,
-			Parked:  ss.parked,
-			Spares:  ss.spares,
-			Steals:  ss.steals,
-			Queues:  ss.queues,
-		}
-	}
 	sites := n.Sites()
 	sort.Slice(sites, func(i, j int) bool { return sites[i].ID() < sites[j].ID() })
 	for _, s := range sites {
@@ -405,7 +395,7 @@ func (n *Node) sampleStalls(cfg StallConfig) {
 	// While the admission controller is shedding, a backed-up inbox or
 	// a slow fetch is the overload plane doing its job — expired frames
 	// are dropped and fetches answered with pushback by design, not a
-	// wedged scheduler. Flagging those as stalls would page an operator
+	// wedged site. Flagging those as stalls would page an operator
 	// for behaviour /statusz already explains in its overload section.
 	if n.adm.State() == admission.Shed {
 		suppressed = true

@@ -12,10 +12,10 @@
 // site's incoming queue (σ-translation still applies, because each
 // site owns a private heap).
 //
-// Site execution itself is multiplexed over a per-core work-stealing
-// worker pool (sched.go, DESIGN.md §15) rather than one goroutine per
-// site, so a many-site node scales across cores; Config.Sched.Serial
-// restores the legacy dedicated run loops.
+// Each site runs on its own goroutine (site.Run), and Go's runtime
+// multiplexes those goroutines over the cores — the paper's thread per
+// site, with Go's work-stealing scheduler standing in for the OS
+// (DESIGN.md §15).
 package node
 
 import (
@@ -121,11 +121,6 @@ type Config struct {
 	// transport (expired frames stop retransmitting) and the receiver
 	// (expired deliveries shed unapplied).
 	OpDeadline time.Duration
-	// Sched tunes the work-stealing turn scheduler (DESIGN.md §15)
-	// that multiplexes the node's sites over a per-core worker pool.
-	// The zero value runs GOMAXPROCS workers; Sched.Serial restores
-	// the legacy goroutine-per-site run loops.
-	Sched SchedConfig
 }
 
 // maxRestarts bounds supervised restarts per site: a deterministically
@@ -137,12 +132,11 @@ type Node struct {
 	cfg Config
 	// tr is the effective transport: cfg.Transport, possibly wrapped in
 	// the reliable delivery layer.
-	tr    transport.Transport
-	rel   *transport.Reliable
-	coal  *coalescer
-	tel   *telemetry.Telemetry  // nil when telemetry is off
-	adm   *admission.Controller // nil when admission control is off
-	sched *scheduler            // nil in Sched.Serial mode
+	tr   transport.Transport
+	rel  *transport.Reliable
+	coal *coalescer
+	tel  *telemetry.Telemetry  // nil when telemetry is off
+	adm  *admission.Controller // nil when admission control is off
 
 	// tables is the copy-on-write site directory: every delivery loads
 	// the pointer lock-free, so the hot path never convoys on mu.
@@ -233,16 +227,6 @@ func (n *Node) mutateTables(fn func(t *siteTable)) {
 	n.tables.Store(next)
 }
 
-// startSite releases a freshly registered site for execution: onto the
-// scheduler's deques, or (Serial mode, ss == nil) its own goroutine.
-func (n *Node) startSite(s *site.Site, ss *schedSite) {
-	if n.sched != nil {
-		n.sched.start(ss)
-		return
-	}
-	go s.Run()
-}
-
 // LocalDeliveries reports same-node deliveries handled by the daemon.
 func (n *Node) LocalDeliveries() uint64 { return n.localDeliveries.Load() }
 
@@ -266,9 +250,6 @@ func New(cfg Config) *Node {
 		byName:   map[string]*site.Site{},
 		journals: map[uint32]*site.Journal{},
 	})
-	if !cfg.Sched.Serial {
-		n.sched = newScheduler(cfg.Sched)
-	}
 	if cfg.Introspect != nil && n.tel == nil {
 		// Introspection implies telemetry: /metrics and the flight
 		// recorder need instruments to read.
@@ -355,8 +336,8 @@ func (n *Node) admissionLoop() {
 			}
 			n.adm.SetOccupancy(worstInbox, window)
 			// Fold the sites' lock-free sojourn minima into the
-			// controller's window (they are sampled across sharded
-			// worker queues, so no single run loop owns the clock).
+			// controller's window (they are sampled by every site
+			// goroutine, so no single run loop owns the clock).
 			n.adm.Tick(time.Now())
 		case <-n.stop:
 			return
@@ -401,16 +382,6 @@ func (n *Node) refreshTelemetryGauges() {
 	n.tel.SetGauge("deliveries.local", int64(n.localDeliveries.Load()))
 	n.tel.SetGauge("deliveries.remote", int64(n.remoteDeliveries.Load()))
 	n.tel.SetGauge("deliveries.failed", int64(n.deliveryFailures.Load()))
-	if n.sched != nil {
-		st := n.sched.stats()
-		n.tel.SetGauge("sched.workers", int64(st.workers))
-		n.tel.SetGauge("sched.parked_workers", int64(st.parked))
-		n.tel.SetGauge("sched.steals_total", int64(st.steals))
-		n.tel.SetGauge("sched.spare_workers", int64(st.spares))
-		for i, q := range st.queues {
-			n.tel.SetGauge(fmt.Sprintf("sched.queue.%d", i), int64(q))
-		}
-	}
 	if n.rel != nil {
 		st := n.rel.Stats()
 		n.tel.SetGauge("rel.data_sent", int64(st.DataSent))
@@ -698,13 +669,6 @@ func (n *Node) Spawn(siteName string, prog *site.Program, out io.Writer, opts ..
 		o(&cfg)
 	}
 	s := site.New(cfg)
-	// Scheduler registration precedes Load: Load spawns import-resolver
-	// goroutines whose deliveries must find the wake hook installed. The
-	// handle starts held, so no turn runs before startSite below.
-	var ss *schedSite
-	if n.sched != nil {
-		ss = n.sched.add(s)
-	}
 	if err := s.Load(prog); err != nil {
 		if jl != nil {
 			_ = jl.Close()
@@ -720,7 +684,7 @@ func (n *Node) Spawn(siteName string, prog *site.Program, out io.Writer, opts ..
 		}
 	})
 	n.mu.Unlock()
-	n.startSite(s, ss)
+	go s.Run()
 	if n.cfg.Supervise && jl != nil {
 		go n.supervise(s, siteName, out, opts...)
 	}
@@ -837,10 +801,6 @@ func (n *Node) RecoverSite(siteName string, out io.Writer, opts ...SiteOption) (
 		o(&cfg)
 	}
 	s := site.New(cfg)
-	var ss *schedSite
-	if n.sched != nil {
-		ss = n.sched.add(s)
-	}
 	s.SetRestore(rec)
 	n.mu.Lock()
 	n.mutateTables(func(t *siteTable) {
@@ -859,7 +819,7 @@ func (n *Node) RecoverSite(siteName string, out io.Writer, opts ...SiteOption) (
 	n.mu.Unlock()
 	// Registered before the first turn: live traffic buffers in the
 	// site's queue while the journal replays underneath it.
-	n.startSite(s, ss)
+	go s.Run()
 	return s, nil
 }
 
@@ -938,14 +898,8 @@ func (n *Node) Stop() {
 	for _, s := range sites {
 		s.Stop()
 	}
-	// Waiting needs live workers: a stopped site's final turn (the one
-	// that observes stop and closes Done) still runs on the pool, so
-	// the scheduler shuts down only after every site has finished.
 	for _, s := range sites {
 		<-s.Done()
-	}
-	if n.sched != nil {
-		n.sched.close()
 	}
 	n.coal.close()
 	select {
@@ -1146,16 +1100,5 @@ func (n *Node) toLocal(siteID uint32, d site.Delivery, t wire.FrameType, payload
 	}
 	d.Src = n.cfg.ID
 	n.localDeliveries.Add(1)
-	if n.sched == nil {
-		return s.Deliver(d)
-	}
-	// Local mobility runs on a pool worker. A full destination inbox
-	// turns the delivery into a blocking handoff, so cover the worker
-	// first: a parked sibling (or a spare) keeps draining deques —
-	// including the destination's — while this one waits.
-	if done, err := s.TryDeliver(d); done || err != nil {
-		return err
-	}
-	n.sched.coverBlocking()
 	return s.Deliver(d)
 }

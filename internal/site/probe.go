@@ -47,13 +47,11 @@ func (s *Site) probeTick() {
 
 // probePark marks the site blocked waiting for input (true) or
 // running again (false). Every successful enqueue clears the mark
-// (noteInput), so ParkedMs > 0 always means "no input" — in legacy
-// Run mode because the park select would have fired, and under the
-// work-stealing scheduler because the wake path unparks the site
-// before it is queued to a worker. A site with input queued therefore
-// always reads ParkedMs == 0, and if its loop stamp also stops
-// advancing the inbox stall heuristic flags it — which now covers a
-// wedged scheduler (queued but never run) as well as a wedged turn.
+// (Deliver), so ParkedMs > 0 always means "no input": Run's park
+// select would otherwise have fired. A site with input queued
+// therefore always reads ParkedMs == 0, and if its loop stamp also
+// stops advancing the inbox stall heuristic flags it — a wedged turn,
+// or a site goroutine that never gets scheduled.
 func (s *Site) probePark(parked bool) {
 	if !s.cfg.Probe {
 		return

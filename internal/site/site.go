@@ -17,18 +17,17 @@
 //   - an I/O port (the site's print output).
 //
 // A site is internally sequential: everything that touches the
-// machine happens on whichever goroutine currently owns the site. In
-// the legacy mode that is one dedicated goroutine (Run); under the
-// node's work-stealing scheduler (DESIGN.md §15) workers take turns
-// owning the site, one at a time, driving Turn. The node feeds the
-// incoming queue and drains the outgoing queue concurrently either
-// way.
+// machine happens on the site's own goroutine (Run, driving Turn), and
+// Go's runtime multiplexes those goroutines over the cores (DESIGN.md
+// §15). The node feeds the incoming queue and drains the outgoing
+// queue concurrently.
 package site
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,14 +250,9 @@ type Site struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// wake, when the site runs under a turn scheduler, notifies it
-	// that new input arrived (SetWake). Nil in legacy Run mode. Set
-	// once before the site starts; read by Deliver/Stop from any
-	// goroutine afterwards.
-	wake func()
-	// began flips on the first Turn (owner goroutine only): lease
+	// began flips on the first Turn (the site's goroutine only): lease
 	// keep-alive launch and journal restore happen there, not in New,
-	// so recovery replay runs on whichever goroutine owns the site.
+	// so recovery replay runs on the site's own goroutine.
 	began      bool
 	finishOnce sync.Once
 
@@ -465,49 +459,15 @@ func (s *Site) Deliver(d Delivery) error {
 	}
 	select {
 	case s.in <- d:
-		s.noteInput()
+		// A site with queued input is by definition not waiting for
+		// any: clear the parked mirror (the stall detector relies on
+		// that, see probe.go).
+		s.probePark(false)
 		return nil
 	case <-s.done:
 		return fmt.Errorf("site %s: stopped", s.cfg.Name)
 	}
 }
-
-// TryDeliver is Deliver's non-blocking form: it reports false (with a
-// nil error) when the incoming queue is full, so a scheduler worker
-// can arrange a blocking handoff instead of stalling its whole run
-// queue on one congested site.
-func (s *Site) TryDeliver(d Delivery) (bool, error) {
-	if s.cfg.OnSojourn != nil && d.At.IsZero() {
-		d.At = time.Now()
-	}
-	select {
-	case <-s.done:
-		return false, fmt.Errorf("site %s: stopped", s.cfg.Name)
-	default:
-	}
-	select {
-	case s.in <- d:
-		s.noteInput()
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
-// noteInput runs after every successful enqueue: it clears the parked
-// mirror — a site with queued input is by definition not waiting for
-// any (the stall detector relies on that, see probe.go) — and rings
-// the scheduler wake.
-func (s *Site) noteInput() {
-	s.probePark(false)
-	if s.wake != nil {
-		s.wake()
-	}
-}
-
-// SetWake installs the turn scheduler's wake callback. It must be
-// called before the site is started (Load/Run/first Deliver).
-func (s *Site) SetWake(fn func()) { s.wake = fn }
 
 // InboxOccupancy reports the incoming queue's fill fraction (0..1) —
 // the admission controller's occupancy watermark input. Safe from any
@@ -590,11 +550,6 @@ func (s *Site) Stop() {
 	case <-s.stop:
 	default:
 		close(s.stop)
-	}
-	// Under a turn scheduler an idle site only runs when woken — ring
-	// it so the final Turn observes stop and closes done.
-	if s.wake != nil {
-		s.wake()
 	}
 }
 
@@ -743,7 +698,8 @@ func (s *Site) resolveImport(imp asm.ImportRef, constIdx int, requiredSig string
 	_ = s.Deliver(Delivery{Resolved: &ResolvedImport{ConstIdx: constIdx, Value: v, ClassSig: classSig, Err: err}})
 }
 
-// TurnResult is what one scheduler turn concluded about the site.
+// TurnResult is what one turn concluded about the site; Run decides
+// from it whether to run again, yield, re-poll or block.
 type TurnResult int
 
 const (
@@ -754,23 +710,21 @@ const (
 	// rather than parking until the next delivery (the ack that opens
 	// the gate arrives without waking the site).
 	TurnYield
-	// TurnIdle: no runnable work and no queued input — park until the
-	// wake callback rings.
+	// TurnIdle: no runnable work and no queued input — block until
+	// input arrives.
 	TurnIdle
 	// TurnStopped: the site stopped (Stop, machine fault, or panic);
 	// done is closed and the site must never be scheduled again.
 	TurnStopped
 )
 
-// Turn executes one scheduler turn without blocking: drain a bounded
-// batch of queued deliveries, run a slice of VM threads, and report
-// whether the site has more work, wants a delayed re-poll, or can
-// park. Exactly one goroutine may call Turn at a time (the site's
-// current owner); the work-stealing scheduler's site state machine
-// enforces that. The first Turn performs the deferred start work
-// (lease keep-alive, journal restore). A panic is converted into a
-// site error so a supervisor watching Done/Err can restart the site
-// instead of losing the process.
+// Turn executes one turn without blocking: drain a bounded batch of
+// queued deliveries, run a slice of VM threads, and report whether the
+// site has more work, wants a delayed re-poll, or can park. Only the
+// site's own goroutine (Run) calls Turn. The first Turn performs the
+// deferred start work (lease keep-alive, journal restore). A panic is
+// converted into a site error so a supervisor watching Done/Err can
+// restart the site instead of losing the process.
 func (s *Site) Turn() (res TurnResult) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -856,11 +810,16 @@ func (s *Site) finish() {
 	s.finishOnce.Do(func() { close(s.done) })
 }
 
-// Run is the legacy dedicated-goroutine scheduler loop (node
-// SchedConfig.Serial, direct embedders, and the site unit tests):
-// turns run back-to-back, and the goroutine itself blocks on the
-// incoming queue when a turn parks. It returns when Stop is called or
-// the machine faults.
+// turnBudget is how many consecutive TurnMore turns Run takes before
+// yielding its P. Without the yield a busy site keeps its core until
+// Go's asynchronous preemption (~10ms), starving the sites that share
+// it (DESIGN.md §15).
+const turnBudget = 4
+
+// Run is the site's goroutine: turns run back-to-back, yielding the
+// processor every turnBudget consecutive busy turns, and the goroutine
+// blocks on the incoming queue when a turn parks. It returns when Stop
+// is called or the machine faults.
 func (s *Site) Run() {
 	defer s.finish()
 	defer func() {
@@ -868,9 +827,18 @@ func (s *Site) Run() {
 			s.setErr(fmt.Errorf("site %s: panic: %v", s.cfg.Name, p))
 		}
 	}()
+	busy := 0 // consecutive TurnMore turns since the last yield or park
 	for {
-		switch s.Turn() {
-		case TurnMore:
+		res := s.Turn()
+		if res == TurnMore {
+			if busy++; busy == turnBudget {
+				busy = 0
+				runtime.Gosched()
+			}
+			continue
+		}
+		busy = 0
+		switch res {
 		case TurnYield:
 			t := time.NewTimer(time.Millisecond)
 			s.probePark(true)

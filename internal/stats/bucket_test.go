@@ -266,45 +266,24 @@ func TestNilBucketHistogram(t *testing.T) {
 	}
 }
 
-// BenchmarkObserveParallel proves the satellite claim: under 8
-// writers the atomic bucketed path must not regress vs the legacy
-// mutex reservoir (it is in fact an order of magnitude faster).
+// BenchmarkObserveParallel measures Observe under 8 concurrent
+// writers: the wait-free path the telemetry fabric's shared
+// instruments rely on.
 func BenchmarkObserveParallel(b *testing.B) {
-	b.Run("bucketed", func(b *testing.B) {
-		h := &BucketHistogram{}
-		b.SetParallelism(8)
-		b.RunParallel(func(pb *testing.PB) {
-			v := 1000.0
-			for pb.Next() {
-				h.Observe(v)
-				v += 17
-			}
-		})
-	})
-	b.Run("legacy-mutex", func(b *testing.B) {
-		h := NewHistogram(4096)
-		b.SetParallelism(8)
-		b.RunParallel(func(pb *testing.PB) {
-			v := 1000.0
-			for pb.Next() {
-				h.Observe(v)
-				v += 17
-			}
-		})
+	h := &BucketHistogram{}
+	b.SetParallelism(8)
+	b.RunParallel(func(pb *testing.PB) {
+		v := 1000.0
+		for pb.Next() {
+			h.Observe(v)
+			v += 17
+		}
 	})
 }
 
 func BenchmarkObserveSerial(b *testing.B) {
-	b.Run("bucketed", func(b *testing.B) {
-		h := &BucketHistogram{}
-		for i := 0; i < b.N; i++ {
-			h.Observe(float64(i%100_000 + 1))
-		}
-	})
-	b.Run("legacy-mutex", func(b *testing.B) {
-		h := NewHistogram(4096)
-		for i := 0; i < b.N; i++ {
-			h.Observe(float64(i%100_000 + 1))
-		}
-	})
+	h := &BucketHistogram{}
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i%100_000 + 1))
+	}
 }

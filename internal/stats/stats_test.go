@@ -9,8 +9,12 @@ import (
 	"repro/internal/stats"
 )
 
+// The histogram tests below pin the contract the experiment tables
+// rely on (E3 reads Mean and Percentile of instructions per thread):
+// values below 128 land in unit-width buckets, so they read exactly.
+
 func TestHistogramBasics(t *testing.T) {
-	h := stats.NewHistogram(0)
+	h := &stats.BucketHistogram{}
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
@@ -23,8 +27,11 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != 1 || h.Max() != 100 {
 		t.Fatalf("min/max = %f/%f", h.Min(), h.Max())
 	}
-	if p := h.Percentile(50); p < 49 || p > 52 {
+	if p := h.Percentile(50); p != 50 {
 		t.Fatalf("p50 = %f", p)
+	}
+	if p := h.Percentile(95); p != 95 {
+		t.Fatalf("p95 = %f", p)
 	}
 	if p := h.Percentile(0); p != 1 {
 		t.Fatalf("p0 = %f", p)
@@ -35,16 +42,16 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := stats.NewHistogram(0)
+	h := &stats.BucketHistogram{}
 	if h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }
 
+// TestHistogramReservoir: memory stays fixed however many samples
+// arrive, yet count, min and max stay exact and percentiles close.
 func TestHistogramReservoir(t *testing.T) {
-	// With a small cap, the histogram still tracks exact count, sum,
-	// min and max, and percentiles stay approximately right.
-	h := stats.NewHistogram(256)
+	h := &stats.BucketHistogram{}
 	r := rand.New(rand.NewSource(5))
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -53,8 +60,8 @@ func TestHistogramReservoir(t *testing.T) {
 	if h.Count() != n {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if p := h.Percentile(50); p < 350 || p > 650 {
-		t.Fatalf("p50 of uniform(0,1000) = %f (reservoir too skewed)", p)
+	if p := h.Percentile(50); p < 490 || p > 510 {
+		t.Fatalf("p50 of uniform(0,1000) = %f", p)
 	}
 	if h.Max() > 1000 || h.Min() < 0 {
 		t.Fatalf("bounds broken: %f %f", h.Min(), h.Max())
@@ -62,7 +69,7 @@ func TestHistogramReservoir(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := stats.NewHistogram(0)
+	h := &stats.BucketHistogram{}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -80,13 +87,10 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestHistogramDuration(t *testing.T) {
-	h := stats.NewHistogram(0)
-	h.ObserveDuration(2 * time.Microsecond)
+	h := &stats.BucketHistogram{}
+	h.ObserveDuration(int64(2 * time.Microsecond))
 	if h.Mean() != 2000 {
 		t.Fatalf("mean = %f ns", h.Mean())
-	}
-	if s := h.Summary("ns"); s == "" {
-		t.Fatal("empty summary")
 	}
 }
 

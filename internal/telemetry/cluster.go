@@ -165,10 +165,10 @@ func (cv ClusterView) JSON() []byte {
 // /healthz.
 func (cv ClusterView) RenderTable() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %-9s %-9s %-6s %-6s %-7s %-6s %-8s %-8s %-10s %-10s %-8s %-7s %-5s %-7s %-7s %-5s %s\n",
-		"NODE", "HEALTH", "MEMB", "SITES", "RUNQ", "STEAL", "INBOX", "WAITIMP", "STALLS", "SENT", "RECV", "UNACKED", "FAILED", "OVLD", "SHED", "SLO", "BURN", "ADDR")
+	fmt.Fprintf(&b, "%-5s %-9s %-9s %-6s %-6s %-6s %-8s %-8s %-10s %-10s %-8s %-7s %-5s %-7s %-7s %-5s %s\n",
+		"NODE", "HEALTH", "MEMB", "SITES", "RUNQ", "INBOX", "WAITIMP", "STALLS", "SENT", "RECV", "UNACKED", "FAILED", "OVLD", "SHED", "SLO", "BURN", "ADDR")
 	var totSites, totRunq, totInbox, totWait, totStalls, totUnacked int
-	var totSent, totRecv, totFailed, totShed, totSteals uint64
+	var totSent, totRecv, totFailed, totShed uint64
 	for _, v := range cv.Nodes {
 		if v.Err != "" {
 			fmt.Fprintf(&b, "%-5d %-9s %s (%s)\n", v.Node, "unreach", v.Err, v.Addr)
@@ -183,24 +183,16 @@ func (cv ClusterView) RenderTable() string {
 			sent += s.Sent
 			recv += s.Recv
 		}
-		// RUNQ under the work-stealing scheduler is the VM-thread
-		// backlog plus the ready sites parked in the worker deques.
-		runq += v.Status.Sched.RunQueueDepth()
-		var steals uint64
-		if v.Status.Sched != nil {
-			steals = v.Status.Sched.Steals
-		}
 		unacked := 0
 		if v.Status.Rel != nil {
 			unacked = v.Status.Rel.Unacked
 		}
-		fmt.Fprintf(&b, "%-5d %-9s %-9s %-6d %-6d %-7d %-6d %-8d %-8d %-10d %-10d %-8d %-7d %-5s %-7d %-7s %-5s %s\n",
-			v.Node, v.Health.Status, memberSummary(v.Status), len(v.Status.Sites), runq, steals, inbox, wait,
+		fmt.Fprintf(&b, "%-5d %-9s %-9s %-6d %-6d %-6d %-8d %-8d %-10d %-10d %-8d %-7d %-5s %-7d %-7s %-5s %s\n",
+			v.Node, v.Health.Status, memberSummary(v.Status), len(v.Status.Sites), runq, inbox, wait,
 			len(v.Status.Stalls), sent, recv, unacked, v.Status.DeliveryFailures,
 			overloadState(v.Status), shedTotal(v.Status), sloSummary(v.Status), burnSummary(v.Status), v.Addr)
 		totSites += len(v.Status.Sites)
 		totRunq += runq
-		totSteals += steals
 		totInbox += inbox
 		totWait += wait
 		totStalls += len(v.Status.Stalls)
@@ -210,8 +202,8 @@ func (cv ClusterView) RenderTable() string {
 		totFailed += v.Status.DeliveryFailures
 		totShed += shedTotal(v.Status)
 	}
-	fmt.Fprintf(&b, "%-5s %-9s %-9s %-6d %-6d %-7d %-6d %-8d %-8d %-10d %-10d %-8d %-7d %-5s %-7d\n",
-		"all", "", "", totSites, totRunq, totSteals, totInbox, totWait, totStalls, totSent, totRecv, totUnacked, totFailed, "", totShed)
+	fmt.Fprintf(&b, "%-5s %-9s %-9s %-6d %-6d %-6d %-8d %-8d %-10d %-10d %-8d %-7d %-5s %-7d\n",
+		"all", "", "", totSites, totRunq, totInbox, totWait, totStalls, totSent, totRecv, totUnacked, totFailed, "", totShed)
 	for _, v := range cv.Nodes {
 		for _, sv := range v.Status.SLO {
 			if sv.State == "ok" || sv.State == "" {

@@ -116,34 +116,6 @@ type MemberStatus struct {
 	InStateMs   int64   `json:"in_state_ms"`
 }
 
-// SchedStatus is the work-stealing scheduler section of /statusz
-// (DESIGN.md §15): the worker pool's shape and its per-worker queue
-// depths. Queues sums with the sites' own inbox depths to give the
-// node's total backlog; Steals counts successful steal batches, the
-// load-imbalance signal.
-type SchedStatus struct {
-	Workers int `json:"workers"`
-	Parked  int `json:"parked"`
-	Spares  int `json:"spares,omitempty"`
-	// Steals counts steal batches taken by all workers since start.
-	Steals uint64 `json:"steals_total"`
-	// Queues is each worker's current deque depth (ready sites).
-	Queues []int `json:"queues"`
-}
-
-// RunQueueDepth sums the per-worker deques: the node-level ready-site
-// backlog.
-func (s *SchedStatus) RunQueueDepth() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, q := range s.Queues {
-		n += q
-	}
-	return n
-}
-
 // NSStatus is the name-service section of /statusz (DESIGN.md §16):
 // the node's view of the shard map, its client lease cache, and the
 // NS circuit breaker. Layers the node runs without stay at their zero
@@ -265,7 +237,6 @@ type NodeStatus struct {
 	LocalDeliveries  uint64          `json:"local_deliveries"`
 	RemoteDeliveries uint64          `json:"remote_deliveries"`
 	DeliveryFailures uint64          `json:"delivery_failures"`
-	Sched            *SchedStatus    `json:"sched,omitempty"`
 	Sites            []SiteStatus    `json:"sites"`
 	Rel              *RelStatus      `json:"rel,omitempty"`
 	Overload         *OverloadStatus `json:"overload,omitempty"`

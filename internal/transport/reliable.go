@@ -132,9 +132,9 @@ type Reliable struct {
 
 	// The peer directory is sharded (DESIGN.md §15): dirMu guards only
 	// the two maps, and each sendPeer/recvPeer carries its own mutex.
-	// Concurrent sends from different scheduler workers to different
-	// peers share nothing but a read-lock on the directory; the old
-	// layer-wide mutex made every worker convoy on every ack scan.
+	// Concurrent sends from different sites to different peers share
+	// nothing but a read-lock on the directory; the old layer-wide
+	// mutex made every sender convoy on every ack scan.
 	// Lock order where both sides meet: sendPeer.mu → recvPeer.mu (the
 	// outbound piggyback path); no path locks them in reverse.
 	dirMu sync.RWMutex

@@ -1,17 +1,22 @@
-// Work-stealing runtime integration tests (DESIGN.md §15): the
-// scheduler may reorder work *between* sites freely, but each site's
-// observable history — its journal — must be exactly what the serial
-// runtime produces, batches must flush when workers go idle rather
-// than waiting out the coalescing deadline, and the admission plane
-// must keep sampling sojourn correctly when many workers feed it.
+// Node runtime integration tests (DESIGN.md §15): each site runs on
+// its own goroutine and Go's runtime may interleave sites freely
+// across cores, but each site's observable history — its journal —
+// must be exactly what a single-processor run produces, batches must
+// flush when sites go idle rather than waiting out the coalescing
+// deadline, the admission plane must keep sampling sojourn correctly
+// when many cores feed it, and a busy site must not starve its
+// neighbours on a shared processor.
 package repro
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,17 +28,20 @@ import (
 )
 
 // TestStealingSchedulerJournalsMatchSerial is the per-site replay
-// determinism check: run the same many-site ping-pong workload under
-// the legacy serial runtime and under a 4-worker stealing scheduler,
+// determinism check: run the same many-site ping-pong workload
+// serially (GOMAXPROCS=1) and with Go's work-stealing scheduler
+// spreading the site goroutines over four processors (GOMAXPROCS=4),
 // with write-ahead journals on and checkpointing off, and require
 // every server site's journal to be byte-identical across the two
 // runs. Each server is fed by exactly one sequential client, so its
-// delivery stream is deterministic; the scheduler moving sites
-// between workers must not change what any single site records.
+// delivery stream is deterministic; sites running in parallel must
+// not change what any single site records.
 func TestStealingSchedulerJournalsMatchSerial(t *testing.T) {
 	const pairs = 6
 	const calls = 25
-	run := func(sched node.SchedConfig) map[string][]journal.Record {
+	run := func(procs int) map[string][]journal.Record {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
 		fac := journal.NewMemFactory()
 		cl, err := core.NewCluster(core.ClusterConfig{
 			Nodes:   2,
@@ -41,7 +49,6 @@ func TestStealingSchedulerJournalsMatchSerial(t *testing.T) {
 			// No compaction: the full append stream is the artifact
 			// under comparison.
 			CheckpointEvery: 1 << 30,
-			Sched:           sched,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -87,25 +94,25 @@ in Call[%d]`, srv, calls)
 		return out
 	}
 
-	serial := run(node.SchedConfig{Serial: true})
-	stolen := run(node.SchedConfig{Workers: 4, Seed: 1})
+	serial := run(1)
+	stolen := run(4)
 	if len(serial) != pairs {
 		t.Fatalf("serial run journaled %d server sites, want %d", len(serial), pairs)
 	}
 	for name, want := range serial {
 		got, ok := stolen[name]
 		if !ok {
-			t.Fatalf("stealing run has no journal for %s", name)
+			t.Fatalf("GOMAXPROCS=4 run has no journal for %s", name)
 		}
 		if len(want) == 0 {
 			t.Fatalf("empty serial journal for %s (nothing under comparison)", name)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d records under stealing, %d under serial", name, len(got), len(want))
+			t.Fatalf("%s: %d records at GOMAXPROCS=4, %d at GOMAXPROCS=1", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Kind != want[i].Kind || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("%s: record %d diverges: serial {%d %x}, stealing {%d %x}",
+				t.Fatalf("%s: record %d diverges: GOMAXPROCS=1 {%d %x}, GOMAXPROCS=4 {%d %x}",
 					name, i, want[i].Kind, want[i].Data, got[i].Kind, got[i].Data)
 			}
 		}
@@ -114,9 +121,10 @@ in Call[%d]`, srv, calls)
 
 // TestFlushOnIdleUnderManyWorkers closes the park/flush race: with a
 // coalescing deadline far beyond the test horizon, a ping-pong
-// workload only completes if every worker flushes its node's outbound
-// rings before parking. Eight workers on GOMAXPROCS=8 maximize the
-// chance of one worker parking while another has just queued output.
+// workload only completes if every site flushes its node's outbound
+// rings before parking. GOMAXPROCS=8 maximizes the chance of one site
+// parking while another, on a different processor, has just queued
+// output.
 func TestFlushOnIdleUnderManyWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -126,7 +134,6 @@ func TestFlushOnIdleUnderManyWorkers(t *testing.T) {
 		// A batch that neither fills nor times out within the test:
 		// only flush-before-park can move it.
 		Batch: node.BatchConfig{MaxBytes: 1 << 20, MaxDelay: time.Minute},
-		Sched: node.SchedConfig{Workers: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,9 +164,9 @@ in Call[20]`, srv)
 }
 
 // TestAdmissionOverdrivePlateausUnderWorkers reruns the E15 open-loop
-// overdrive drill with four scheduler workers on GOMAXPROCS=4: the
-// admission controller now aggregates sojourn samples from every
-// worker through the lock-free CAS-min mirror, and the property under
+// overdrive drill on GOMAXPROCS=4: the admission controller aggregates
+// sojourn samples from site goroutines on every processor through the
+// lock-free CAS-min mirror, and the property under
 // test is unchanged — goodput at 5x offered load plateaus instead of
 // collapsing, with the discarded work accounted as sheds.
 func TestAdmissionOverdrivePlateausUnderWorkers(t *testing.T) {
@@ -186,6 +193,90 @@ func TestAdmissionOverdrivePlateausUnderWorkers(t *testing.T) {
 	if shed5 <= 0 {
 		t.Fatalf("5x overdrive shed nothing — open loop offered 5x capacity, where did it go?")
 	}
+}
+
+// TestBusySiteYieldsToNeighbours pins site.Run's fair yield: on a
+// single processor, a site that never runs out of work must hand the
+// processor back every few turns, or its neighbours wait out Go's
+// ~10ms asynchronous preemption on every wakeup. A client makes 100
+// same-node calls to a server site, once alone and once beside a site
+// that spins forever; the median time of the calls with the spinner
+// may be at most 5x the median without it.
+func TestBusySiteYieldsToNeighbours(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	const trials = 9
+	client, err := core.Compile("client", `
+import p from server in
+def Call(n) = if n == 0 then println("done") else let y = p![n] in Call[n - 1]
+in Call[100]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := func(spin bool) time.Duration {
+		cl, err := core.NewCluster(core.ClusterConfig{Nodes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Stop()
+		if spin {
+			if _, err := cl.Submit(0, "spinner", `def Loop(n) = Loop[n + 1] in Loop[0]`, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.Submit(0, "server",
+			`def Serve(p) = p?(x, r) = (r![x + 1] | Serve[p]) in export new p Serve[p]`,
+			io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		done := &signalWriter{want: "done", hit: make(chan struct{})}
+		start := time.Now()
+		if _, err := cl.SubmitProgram(0, client, done); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done.hit:
+		case <-time.After(time.Minute):
+			t.Fatalf("100 calls (spinner=%v) did not finish within a minute", spin)
+		}
+		return time.Since(start)
+	}
+	var alone, beside []time.Duration
+	for i := 0; i < trials; i++ {
+		alone = append(alone, calls(false))
+		beside = append(beside, calls(true))
+	}
+	a, b := median(alone), median(beside)
+	t.Logf("100 calls: %v alone, %v beside a spinning site (medians of %d)", a, b, trials)
+	if b > 5*a {
+		t.Fatalf("a spinning site slowed its neighbours %.1fx (%v vs %v); site.Run must yield the processor",
+			float64(b)/float64(a), b, a)
+	}
+}
+
+// signalWriter closes hit the first time its output contains want.
+type signalWriter struct {
+	mu   sync.Mutex
+	buf  strings.Builder
+	want string
+	hit  chan struct{}
+	once sync.Once
+}
+
+func (w *signalWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf.Write(p)
+	if strings.Contains(w.buf.String(), w.want) {
+		w.once.Do(func() { close(w.hit) })
+	}
+	return len(p), nil
+}
+
+func median(ds []time.Duration) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
 }
 
 // waitCluster waits for global termination with a deadline.
