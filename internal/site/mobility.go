@@ -357,7 +357,10 @@ func (s *Site) RemoteInst(class vm.NetClass, args []vm.Value) error {
 			return s.m.Instantiate(v, args)
 		}
 	}
-	// Coalesce with an in-flight fetch of the same class.
+	// Park the instantiation until the code arrives. args is a view
+	// of the machine's operand stack (see vm.External), so it is
+	// copied. Coalesce with an in-flight fetch of the same class.
+	args = append([]vm.Value(nil), args...)
 	if id, ok := s.fetchByClass[class]; ok {
 		p := s.pendingFetch[id]
 		p.calls = append(p.calls, args)

@@ -214,3 +214,75 @@ func TestMobilityFetchUnknownClassFaults(t *testing.T) {
 		t.Fatalf("err = %v", b.Err())
 	}
 }
+
+// heldFetchRouter is a loopRouter that holds class-code requests until
+// the test releases them, so later instantiations of the same class
+// coalesce behind the first request.
+type heldFetchRouter struct {
+	*loopRouter
+	held []func() error
+}
+
+func (h *heldFetchRouter) RouteFetch(from *site.Site, op wire.OpRef, owner site.Addr, class string, reqID uint64) error {
+	h.held = append(h.held, func() error { return h.loopRouter.RouteFetch(from, op, owner, class, reqID) })
+	return nil
+}
+
+// TestMobilityCoalescedFetchesKeepTheirArgs: the machine passes
+// RemoteInst its arguments as a view of the operand stack, and every
+// instantiation overwrites the same stack slots. Two instantiations
+// parked behind one in-flight fetch must each run with their own
+// arguments once the code arrives.
+func TestMobilityCoalescedFetchesKeepTheirArgs(t *testing.T) {
+	ns := nameservice.NewCentral()
+	router := &heldFetchRouter{loopRouter: &loopRouter{sites: map[uint32]*site.Site{}}}
+	mk := func(name string, id uint32, src string, out *testutil.Buf) *site.Site {
+		prog, err := node.CompileSubmission(name, src)
+		if err != nil {
+			t.Fatalf("compile %s: %v", name, err)
+		}
+		s := site.New(site.Config{Name: name, ID: id, NodeID: 1, NS: ns, Router: router, Out: out,
+			ImportTimeout: 10 * time.Second})
+		router.add(s)
+		if err := s.Load(prog); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a := mk("alpha", 1, `export def A(n) = println("A", n) in inaction`, &testutil.Buf{})
+	outB := &testutil.Buf{}
+	b := mk("beta", 2, `import A from alpha in (A[10] | A[20])`, outB)
+	go a.Run()
+	defer func() { a.Stop(); <-a.Done() }()
+	// beta is driven turn by turn from this goroutine, so the test
+	// decides when the held request leaves.
+	defer b.Stop()
+	drive := func(cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("condition never became true (beta out %q, err %v)", outB.String(), b.Err())
+			}
+			if b.Turn() != site.TurnMore {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	drive(func() bool { return len(router.held) == 1 && b.Machine().Idle() })
+	if got := b.Machine().Stats.RemoteInsts; got != 2 {
+		t.Fatalf("%d remote instantiations before the code arrived, want 2", got)
+	}
+	for _, send := range router.held {
+		if err := send(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drive(func() bool { return strings.Count(outB.String(), "\n") == 2 })
+	if got := outB.String(); got != "A 10\nA 20\n" {
+		t.Fatalf("coalesced instantiations printed %q, want %q", got, "A 10\nA 20\n")
+	}
+	if b.ClassesFetched != 1 {
+		t.Fatalf("fetched %d times, want one coalesced fetch", b.ClassesFetched)
+	}
+}

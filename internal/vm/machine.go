@@ -14,6 +14,11 @@ import (
 // implements it; a nil External restricts the machine to purely local
 // programs (exports are then recorded in a local registry so tests and
 // the single-site tyco tool still work).
+//
+// The args and frame slices passed to RemoteSend, RemoteObj and
+// RemoteInst are views of the machine's operand stack: they are valid
+// only during the call, and an implementation that keeps the values
+// must copy them.
 type External interface {
 	// RemoteSend ships a message to a remote channel.
 	RemoteSend(ref NetRef, label string, args []Value) error
@@ -71,8 +76,11 @@ type qObj struct {
 	trace uint64
 }
 
-// Thread is a runnable activation: a block, a program counter, the
-// frame of locals and a small operand stack.
+// Thread is a runnable activation: a block, a program counter and the
+// frame of locals. A running thread keeps its operands on the
+// machine's shared operand stack; stack holds them only while the
+// thread is parked (or restored from a snapshot), and is moved back
+// onto the operand stack when it runs again.
 type Thread struct {
 	block int32
 	pc    int32
@@ -96,10 +104,23 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("vm error in %s (block %d, pc %d): %s", e.Name, e.Block, e.PC, e.Msg)
 }
 
+// Frame free-list bounds: frames of up to maxPooledFrame slots are
+// recycled, at most framePoolCap of each size.
+const (
+	maxPooledFrame = 16
+	framePoolCap   = 128
+)
+
 // Machine is one TyCO virtual machine instance (one site's engine).
 // It is single-owner by construction: exactly one goroutine — the
 // site's own run loop (site.Run) — may call Step/RunSlice/Requeue, so
 // the Machine itself needs no locks.
+//
+// Threads cost no allocation of their own. Step pops a thread into
+// th and runs it there; threads run to completion, so one operand
+// stack serves them all; the run-queue is a ring; and the frame of a
+// thread that halts goes on a free list that later threads, and the
+// copies queued messages and objects need, take frames from.
 type Machine struct {
 	Prog  *Program
 	Out   io.Writer
@@ -107,7 +128,17 @@ type Machine struct {
 	Stats Stats
 
 	heap []channel
-	runq []Thread
+	// runq is a ring of runnable threads: qlen of them from qhead on.
+	// Its length is zero or a power of two.
+	runq  []Thread
+	qhead int
+	qlen  int
+	// th is the running thread; stack is the operand stack of
+	// whichever thread runs.
+	th    Thread
+	stack []Value
+	// free[n] holds recycled, cleared frames of n slots.
+	free [maxPooledFrame + 1][][]Value
 	// localExports backs export instructions when Ext is nil.
 	localExports map[string]Value
 
@@ -124,11 +155,8 @@ type Machine struct {
 	// Trace context (telemetry fabric). ambient is the mobility trace
 	// of whatever is executing right now: the running thread's trace
 	// while a thread runs, or the delivery's trace while the site
-	// applies one. cur points at the running thread so a trace
-	// allocated mid-run (first egress of an untraced thread) sticks to
-	// it. Both are touched only on the machine's goroutine.
+	// applies one. Touched only on the machine's goroutine.
 	ambient uint64
-	cur     *Thread
 }
 
 // NewMachine creates a machine over a program area.
@@ -153,19 +181,67 @@ func (m *Machine) HeapSize() int { return len(m.heap) }
 func (m *Machine) LocalExports() map[string]Value { return m.localExports }
 
 // Spawn enqueues a new thread for block with the given frame prefix
-// (captures followed by parameters); the frame is grown to the block's
-// declared size.
+// (captures followed by parameters). The thread gets a frame of the
+// block's declared size holding a copy of the prefix.
 func (m *Machine) Spawn(block int, prefix []Value) {
-	b := &m.Prog.Blocks[block]
-	frame := prefix
-	if size := b.FrameSize(); cap(frame) >= size {
-		frame = frame[:size]
-	} else {
-		frame = make([]Value, size)
-		copy(frame, prefix)
-	}
+	frame := m.newFrame(m.Prog.Blocks[block].FrameSize())
+	copy(frame, prefix)
+	m.spawn(block, frame)
+}
+
+// spawn enqueues a new thread for block over frame, which the thread
+// then owns.
+func (m *Machine) spawn(block int, frame []Value) {
 	m.Stats.Threads++
-	m.runq = append(m.runq, Thread{block: int32(block), frame: frame, trace: m.ambient})
+	m.enqueue(Thread{block: int32(block), frame: frame, trace: m.ambient})
+}
+
+// enqueue appends t to the run-queue ring, doubling the ring when
+// full.
+func (m *Machine) enqueue(t Thread) {
+	if m.qlen == len(m.runq) {
+		ring := make([]Thread, max(16, 2*len(m.runq)))
+		n := copy(ring, m.runq[m.qhead:])
+		copy(ring[n:], m.runq[:m.qhead])
+		m.runq, m.qhead = ring, 0
+	}
+	m.runq[(m.qhead+m.qlen)&(len(m.runq)-1)] = t
+	m.qlen++
+}
+
+// newFrame returns a zeroed frame of n slots, recycled when the free
+// list has one.
+func (m *Machine) newFrame(n int) []Value {
+	if n == 0 {
+		return nil
+	}
+	if n <= maxPooledFrame {
+		if l := m.free[n]; len(l) > 0 {
+			f := l[len(l)-1]
+			l[len(l)-1] = nil
+			m.free[n] = l[:len(l)-1]
+			return f
+		}
+	}
+	return make([]Value, n)
+}
+
+// freeFrame clears f and keeps it for reuse. The caller must hold the
+// only reference to f.
+func (m *Machine) freeFrame(f []Value) {
+	n := len(f)
+	if n == 0 || n > maxPooledFrame || len(m.free[n]) == framePoolCap {
+		return
+	}
+	clear(f)
+	m.free[n] = append(m.free[n], f)
+}
+
+// copyValues returns a machine-owned copy of vs (nil when empty).
+func (m *Machine) copyValues(vs []Value) []Value {
+	c := m.newFrame(len(vs))
+	copy(c, vs)
+	return c
 }
 
 // Ambient returns the current trace context (0 = untraced).
@@ -180,42 +256,42 @@ func (m *Machine) SetAmbient(trace uint64) { m.ambient = trace }
 // AdoptTrace stamps the running thread (and the ambient context) with
 // a trace allocated mid-run — the first remote operation of an
 // untraced thread becomes the root of a new trace tree, and the
-// thread's later operations join it.
+// thread's later operations join it. Between threads th is idle and
+// the next Step overwrites it.
 func (m *Machine) AdoptTrace(trace uint64) {
-	if m.cur != nil {
-		m.cur.trace = trace
-	}
+	m.th.trace = trace
 	m.ambient = trace
 }
 
-// Requeue returns a parked thread to the run-queue.
-func (m *Machine) Requeue(t Thread) { m.runq = append(m.runq, t) }
+// Requeue returns a parked thread, with the operand stack it parked
+// with, to the run-queue.
+func (m *Machine) Requeue(t Thread) { m.enqueue(t) }
 
 // QueueLen reports the number of runnable threads.
-func (m *Machine) QueueLen() int { return len(m.runq) }
+func (m *Machine) QueueLen() int { return m.qlen }
 
 // Idle reports whether the machine has no runnable work.
-func (m *Machine) Idle() bool { return len(m.runq) == 0 }
+func (m *Machine) Idle() bool { return m.qlen == 0 }
 
 // Step pops one thread and runs it to completion (thread bodies are a
 // few tens of instructions — the paper's granularity). It reports
 // whether any work was done.
 func (m *Machine) Step() (bool, error) {
-	if len(m.runq) == 0 {
+	if m.qlen == 0 {
 		return false, nil
 	}
-	t := m.runq[0]
-	m.runq = m.runq[1:]
+	m.th = m.runq[m.qhead]
+	m.runq[m.qhead] = Thread{}
+	m.qhead = (m.qhead + 1) & (len(m.runq) - 1)
+	m.qlen--
 	m.Stats.ContextSwitches++
-	m.ambient = t.trace
-	m.cur = &t
-	err := m.run(&t)
-	m.cur = nil
+	m.ambient = m.th.trace
+	m.stack = append(m.stack[:0], m.th.stack...)
+	m.th.stack = nil
+	err := m.run()
+	m.th = Thread{}
 	m.ambient = 0
-	if err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, err
 }
 
 // RunSlice executes up to n threads; it returns the number executed.
@@ -284,11 +360,11 @@ func (m *Machine) Instantiate(class Value, args []Value) error {
 			return fmt.Errorf("class %s expects %d arguments, got %d", info.Name, info.NParams, len(args))
 		}
 		b := &m.Prog.Blocks[info.Block]
-		frame := make([]Value, b.FrameSize())
+		frame := m.newFrame(b.FrameSize())
 		copy(frame, class.Frame)
 		copy(frame[b.NFree:], args)
 		m.Stats.Instantiations++
-		m.Spawn(info.Block, frame)
+		m.spawn(info.Block, frame)
 		return nil
 	case KNetClass:
 		m.Stats.RemoteInsts++
@@ -301,8 +377,9 @@ func (m *Machine) Instantiate(class Value, args []Value) error {
 	}
 }
 
-// run executes one thread until Halt.
-func (m *Machine) run(t *Thread) error {
+// run executes the thread in th until Halt, on the operand stack.
+func (m *Machine) run() error {
+	t := &m.th
 	prog := m.Prog
 	blk := &prog.Blocks[t.block]
 	code := blk.Code
@@ -310,19 +387,30 @@ func (m *Machine) run(t *Thread) error {
 	fail := func(format string, args ...any) error {
 		return &Error{Block: int(t.block), PC: int(t.pc) - 1, Name: blk.Name, Msg: fmt.Sprintf(format, args...)}
 	}
+	push := func(v Value) { m.stack = append(m.stack, v) }
 	pop := func() Value {
-		v := t.stack[len(t.stack)-1]
-		t.stack = t.stack[:len(t.stack)-1]
+		v := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
 		return v
 	}
+	// popN returns the top n operands as a view of the operand stack:
+	// valid until the next push, so whoever keeps them copies them.
 	popN := func(n int) []Value {
 		if n == 0 {
 			return nil
 		}
-		vals := make([]Value, n)
-		copy(vals, t.stack[len(t.stack)-n:])
-		t.stack = t.stack[:len(t.stack)-n]
+		k := len(m.stack) - n
+		vals := m.stack[k:len(m.stack):len(m.stack)]
+		m.stack = m.stack[:k]
 		return vals
+	}
+	// halt ends the thread normally; nothing else references its
+	// frame, so the frame is recycled.
+	halt := func() {
+		if m.InstrPerThread != nil {
+			m.InstrPerThread(int(m.Stats.Instructions - n0))
+		}
+		m.freeFrame(t.frame)
 	}
 	for {
 		if int(t.pc) >= len(code) {
@@ -334,26 +422,24 @@ func (m *Machine) run(t *Thread) error {
 		switch in.Op {
 		case asm.Nop:
 		case asm.Halt:
-			if m.InstrPerThread != nil {
-				m.InstrPerThread(int(m.Stats.Instructions - n0))
-			}
+			halt()
 			return nil
 		case asm.LdLoc:
-			t.stack = append(t.stack, t.frame[in.A])
+			push(t.frame[in.A])
 		case asm.StLoc:
 			t.frame[in.A] = pop()
 		case asm.Drop:
 			pop()
 		case asm.LdI:
-			t.stack = append(t.stack, Int(int64(in.A)))
+			push(Int(int64(in.A)))
 		case asm.LdIC:
-			t.stack = append(t.stack, Int(prog.Ints[in.A]))
+			push(Int(prog.Ints[in.A]))
 		case asm.LdF:
-			t.stack = append(t.stack, Float(prog.Floats[in.A]))
+			push(Float(prog.Floats[in.A]))
 		case asm.LdS:
-			t.stack = append(t.stack, Str(prog.Strings[in.A]))
+			push(Str(prog.Strings[in.A]))
 		case asm.LdB:
-			t.stack = append(t.stack, Bool(in.A != 0))
+			push(Bool(in.A != 0))
 		case asm.LdK:
 			v := prog.Consts[in.A]
 			if v.Kind == KPending {
@@ -361,15 +447,18 @@ func (m *Machine) run(t *Thread) error {
 					return fail("unresolved import constant %d", in.A)
 				}
 				// Rewind so the thread re-executes LdK when it is
-				// re-queued after resolution, then park it.
+				// re-queued after resolution, then park it with a
+				// copy of its operands.
 				t.pc--
 				m.Stats.Parks++
-				m.OnPending(*t, int(in.A))
+				parked := *t
+				parked.stack = append([]Value(nil), m.stack...)
+				m.OnPending(parked, int(in.A))
 				return nil
 			}
-			t.stack = append(t.stack, v)
+			push(v)
 		case asm.NewC:
-			t.stack = append(t.stack, Chan(m.NewChan()))
+			push(Chan(m.NewChan()))
 		case asm.Jmp:
 			t.pc = in.A
 		case asm.JmpF:
@@ -393,7 +482,7 @@ func (m *Machine) run(t *Thread) error {
 			frame := m.MakeGroupFrame(int(in.A), captured)
 			g := &prog.Groups[in.A]
 			for j := range g.Classes {
-				t.stack = append(t.stack, frame[g.NFree+j])
+				push(frame[g.NFree+j])
 			}
 		case asm.InstV:
 			args := popN(int(in.A))
@@ -402,8 +491,7 @@ func (m *Machine) run(t *Thread) error {
 				return fail("%s", err)
 			}
 		case asm.Spawn:
-			captured := popN(int(in.B))
-			m.Spawn(int(in.A), captured)
+			m.Spawn(int(in.A), popN(int(in.B)))
 		case asm.Print, asm.Println:
 			args := popN(int(in.A))
 			parts := make([]string, len(args))
@@ -446,14 +534,14 @@ func (m *Machine) run(t *Thread) error {
 			if err != nil {
 				return fail("%s", err)
 			}
-			t.stack = append(t.stack, v)
+			push(v)
 		case asm.Neg:
 			v := pop()
 			switch v.Kind {
 			case KInt:
-				t.stack = append(t.stack, Int(-v.I))
+				push(Int(-v.I))
 			case KFloat:
-				t.stack = append(t.stack, Float(-v.F))
+				push(Float(-v.F))
 			default:
 				return fail("neg: not a number: %s", v)
 			}
@@ -462,20 +550,20 @@ func (m *Machine) run(t *Thread) error {
 			if v.Kind != KBool {
 				return fail("not: not a boolean: %s", v)
 			}
-			t.stack = append(t.stack, Bool(!v.Truth()))
+			push(Bool(!v.Truth()))
 		default:
 			return fail("invalid opcode %s", in.Op)
 		}
 	}
-	if m.InstrPerThread != nil {
-		m.InstrPerThread(int(m.Stats.Instructions - n0))
-	}
+	halt()
 	return nil
 }
 
 // trmsg implements the paper's re-engineered trmsg instruction: local
 // reduction or queueing for a heap reference; shipping for a network
-// reference.
+// reference. args may be a view of the operand stack: queueing copies
+// it, and a consumed queue entry is cleared from its queue so the heap
+// does not keep it reachable.
 func (m *Machine) trmsg(target Value, label int, args []Value, fail func(string, ...any) error) error {
 	wrap := func(format string, a ...any) error {
 		if fail != nil {
@@ -488,16 +576,23 @@ func (m *Machine) trmsg(target Value, label int, args []Value, fail func(string,
 		ch := &m.heap[target.I]
 		if len(ch.objs) > 0 {
 			obj := ch.objs[0]
-			ch.objs = ch.objs[1:]
+			ch.objs[0] = qObj{}
+			if ch.objs = ch.objs[1:]; len(ch.objs) == 0 {
+				ch.objs = nil
+			}
 			// The message is the communication's cause: its trace wins;
 			// an untraced message joins the waiting object's trace.
 			trace := m.ambient
 			if trace == 0 {
 				trace = obj.trace
 			}
-			return m.reduce(obj, label, args, trace, wrap)
+			if err := m.reduce(obj, label, args, trace, wrap); err != nil {
+				return err
+			}
+			m.freeFrame(obj.frame)
+			return nil
 		}
-		ch.msgs = append(ch.msgs, qMsg{label: label, args: args, trace: m.ambient})
+		ch.msgs = append(ch.msgs, qMsg{label: label, args: m.copyValues(args), trace: m.ambient})
 		m.Stats.MessagesQueued++
 		return nil
 	case KNet:
@@ -524,14 +619,21 @@ func (m *Machine) trobj(target Value, table int, frame []Value, fail func(string
 		ch := &m.heap[target.I]
 		if len(ch.msgs) > 0 {
 			msg := ch.msgs[0]
-			ch.msgs = ch.msgs[1:]
+			ch.msgs[0] = qMsg{}
+			if ch.msgs = ch.msgs[1:]; len(ch.msgs) == 0 {
+				ch.msgs = nil
+			}
 			trace := msg.trace
 			if trace == 0 {
 				trace = m.ambient
 			}
-			return m.reduce(qObj{table: table, frame: frame}, msg.label, msg.args, trace, wrap)
+			if err := m.reduce(qObj{table: table, frame: frame}, msg.label, msg.args, trace, wrap); err != nil {
+				return err
+			}
+			m.freeFrame(msg.args)
+			return nil
 		}
-		ch.objs = append(ch.objs, qObj{table: table, frame: frame, trace: m.ambient})
+		ch.objs = append(ch.objs, qObj{table: table, frame: m.copyValues(frame), trace: m.ambient})
 		m.Stats.ObjectsQueued++
 		return nil
 	case KNet:
@@ -558,13 +660,13 @@ func (m *Machine) reduce(obj qObj, label int, args []Value, trace uint64, wrap f
 	if len(args) != b.NParams {
 		return wrap("method %q expects %d arguments, got %d", m.Prog.Labels[label], b.NParams, len(args))
 	}
-	frame := make([]Value, b.FrameSize())
+	frame := m.newFrame(b.FrameSize())
 	copy(frame, obj.frame)
 	copy(frame[b.NFree:], args)
 	m.Stats.Communications++
 	saved := m.ambient
 	m.ambient = trace
-	m.Spawn(block, frame)
+	m.spawn(block, frame)
 	m.ambient = saved
 	return nil
 }

@@ -435,3 +435,112 @@ in (Spin[0] | println("starved?"))`
 		t.Fatalf("independent thread starved by diverging loop (out=%q)", out.String())
 	}
 }
+
+// TestParkKeepsOperandStack: a thread that parks on a pending constant
+// with operands on the stack resumes with those operands, although
+// other threads have used the machine's one operand stack meanwhile.
+func TestParkKeepsOperandStack(t *testing.T) {
+	u := &asm.Unit{Name: "parkstack", Entry: 0,
+		Imports: []asm.ImportRef{{Site: "s", Name: "x"}},
+		Blocks: []asm.Block{{
+			Name: "entry",
+			Code: []asm.Instr{
+				{Op: asm.Spawn, A: 1},
+				{Op: asm.LdI, A: 5},
+				{Op: asm.LdImp, A: 0}, // parks here with [5] on the stack
+				{Op: asm.Add},
+				{Op: asm.Println, A: 1},
+				{Op: asm.Halt},
+			},
+		}, {
+			Name: "clobber",
+			Code: []asm.Instr{
+				{Op: asm.LdI, A: 100},
+				{Op: asm.LdI, A: 200},
+				{Op: asm.Add},
+				{Op: asm.Println, A: 1},
+				{Op: asm.Halt},
+			},
+		}}}
+	if err := asm.Verify(u); err != nil {
+		t.Fatal(err)
+	}
+	prog := vm.NewProgram()
+	linked, err := prog.Link(u, []vm.Value{vm.Pending(0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	m := vm.NewMachine(prog, &out, nil)
+	var parked []vm.Thread
+	var parkedConst int
+	m.OnPending = func(th vm.Thread, idx int) {
+		parked = append(parked, th)
+		parkedConst = idx
+	}
+	m.Spawn(linked.Entry, nil)
+	if err := m.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	if len(parked) != 1 || out.String() != "300\n" {
+		t.Fatalf("parked %d, out %q; want 1 parked thread after the clobber thread printed 300", len(parked), out.String())
+	}
+	prog.Consts[parkedConst] = vm.Int(37)
+	m.Requeue(parked[0])
+	if err := m.RunToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "300\n42\n" {
+		t.Fatalf("out = %q, want the resumed thread to print 5+37", out.String())
+	}
+}
+
+// TestQueuedEntriesSurviveStackAndFrameReuse: a queued message's
+// arguments and a queued object's frame are taken from the operand
+// stack. They must survive the many later threads that reuse that
+// stack and the recycled frames before the other half of the
+// rendez-vous arrives.
+func TestQueuedEntriesSurviveStackAndFrameReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+		queued          func(vm.Stats) uint64
+	}{
+		{"message", `
+new x (
+  x![1, "one"] |
+  def Burn(n, k) = if n == 0 then (x?(a, s) = println(a, s, k)) else Burn[n - 1, k + 2]
+  in Burn[40, 0]
+)`, "1 one 80\n", func(st vm.Stats) uint64 { return st.MessagesQueued }},
+		{"object", `
+new y (
+  (def Hold(a, s) = y?(v) = println(a, s, v) in Hold[10, "ten"]) |
+  def Burn(n, k) = if n == 0 then y![k] else Burn[n - 1, k + 2]
+  in Burn[40, 0]
+)`, "10 ten 80\n", func(st vm.Stats) uint64 { return st.ObjectsQueued }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := syntax.MustParse(tc.src)
+			unit, err := compiler.Compile(p, tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := vm.NewProgram()
+			linked, err := prog.Link(unit, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			m := vm.NewMachine(prog, &out, nil)
+			m.Spawn(linked.Entry, nil)
+			if err := m.RunToQuiescence(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.queued(m.Stats) == 0 {
+				t.Fatalf("no %s was queued: the test no longer exercises queueing", tc.name)
+			}
+			if out.String() != tc.want {
+				t.Fatalf("out = %q, want %q", out.String(), tc.want)
+			}
+		})
+	}
+}

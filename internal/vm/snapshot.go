@@ -356,8 +356,9 @@ func (m *Machine) EncodeSnapshot(w *SnapWriter) {
 		}
 	}
 
-	w.U(uint64(len(m.runq)))
-	for _, t := range m.runq {
+	w.U(uint64(m.qlen))
+	for i := 0; i < m.qlen; i++ {
+		t := &m.runq[(m.qhead+i)&(len(m.runq)-1)]
 		w.V(int64(t.block))
 		w.V(int64(t.pc))
 		w.Values(t.frame)
@@ -407,9 +408,9 @@ func (m *Machine) DecodeSnapshot(r *SnapReader) error {
 		}
 	}
 
-	m.runq = m.runq[:0]
+	m.runq, m.qhead, m.qlen = nil, 0, 0
 	for i, n := 0, r.Count("runq"); i < n; i++ {
-		m.runq = append(m.runq, Thread{
+		m.enqueue(Thread{
 			block: int32(r.V()),
 			pc:    int32(r.V()),
 			frame: r.ReadValues(),
